@@ -73,21 +73,13 @@ inline void write_observation_outputs(const harness::CommonFlags& flags,
   }
 }
 
-/// Self-profiling session for the --prof flag; null when the flag is absent
-/// or profiling is compiled out (TBP_PROF=OFF), in which case a stderr
-/// notice mirrors the --metrics/TBP_OBS behaviour.  The session is a pure
-/// observer: attaching it never changes simulated results or manifests.
+/// Self-profiling session for the --prof flag; null when the flag is
+/// absent.  The session is a pure observer: attaching it never changes
+/// simulated results or manifests.
 inline std::unique_ptr<prof::ProfSession> make_prof_session(
     const harness::CommonFlags& flags) {
   if (flags.prof_path.empty()) return nullptr;
-  if constexpr (prof::kEnabled) {
-    return std::make_unique<prof::ProfSession>();
-  } else {
-    std::fprintf(stderr,
-                 "[bench] --prof ignored: self-profiling compiled out "
-                 "(TBP_PROF=OFF)\n");
-    return nullptr;
-  }
+  return std::make_unique<prof::ProfSession>();
 }
 
 /// Writes the --prof sidecar (sealed tbp-prof-v1; atomic write).
@@ -137,23 +129,17 @@ inline void write_bench_manifest(const harness::CommonFlags& flags,
                                  std::span<const harness::ExperimentRow> rows,
                                  const obs::Observation* observe,
                                  const std::string& tool) {
-  if constexpr (obs::kEnabled) {
-    obs::MetricsSnapshot metrics;
-    if (observe != nullptr && observe->metrics_on()) {
-      metrics = observe->merged_metrics();
-    }
-    const obs::JsonValue body = harness::manifest_body(
-        tool, "collect_rows", flags_config_value(flags, config), rows, metrics);
-    const Status status = harness::write_manifest(body, flags.manifest_path);
-    if (status.ok()) {
-      std::fprintf(stderr, "[bench] wrote %s\n", flags.manifest_path.c_str());
-    } else {
-      std::fprintf(stderr, "[bench] %s\n", status.to_string().c_str());
-    }
+  obs::MetricsSnapshot metrics;
+  if (observe != nullptr && observe->metrics_on()) {
+    metrics = observe->merged_metrics();
+  }
+  const obs::JsonValue body = harness::manifest_body(
+      tool, "collect_rows", flags_config_value(flags, config), rows, metrics);
+  const Status status = harness::write_manifest(body, flags.manifest_path);
+  if (status.ok()) {
+    std::fprintf(stderr, "[bench] wrote %s\n", flags.manifest_path.c_str());
   } else {
-    std::fprintf(stderr,
-                 "[bench] --manifest ignored: observability compiled out "
-                 "(TBP_OBS=OFF)\n");
+    std::fprintf(stderr, "[bench] %s\n", status.to_string().c_str());
   }
 }
 
@@ -163,71 +149,65 @@ inline void write_bench_manifest(const harness::CommonFlags& flags,
 inline void write_bench_perf(const harness::CommonFlags& flags,
                              std::span<const harness::ExperimentRow> rows,
                              double wall_seconds, const std::string& tool) {
-  if constexpr (obs::kEnabled) {
-    obs::JsonValue entries = obs::JsonValue::object();
-    double total_sim_seconds = 0.0;
-    for (const harness::ExperimentRow& row : rows) {
-      obs::JsonValue entry = obs::JsonValue::object();
-      entry.set("wall_seconds", row.full_sim_seconds + row.tbp_seconds);
-      entry.set("full_sim_seconds", row.full_sim_seconds);
-      entry.set("tbp_seconds", row.tbp_seconds);
-      entry.set("error_pct", row.tbpoint.err_pct);
-      entry.set("from_cache", row.from_cache);
-      // Exact-simulation throughput: cycles the full run simulated per
-      // second of wall time.  The denominator is the row's own timing, so
-      // cached rows report the original run's rate.
-      const double full_cycles = row.full_ipc > 0.0
-          ? static_cast<double>(row.total_warp_insts) / row.full_ipc
-          : 0.0;
-      entry.set("sim_cycles_per_second",
-                row.full_sim_seconds > 0.0 ? full_cycles / row.full_sim_seconds
-                                           : 0.0);
-      if (const auto hits = row.metrics.counter("sim.l1.hits")) {
-        const std::uint64_t misses =
-            row.metrics.counter("sim.l1.misses").value_or(0);
-        const double accesses = static_cast<double>(*hits + misses);
-        entry.set("l1_hit_rate", accesses > 0.0
-                                     ? static_cast<double>(*hits) / accesses
-                                     : 0.0);
-      }
-      entries.set(row.workload, std::move(entry));
-      total_sim_seconds += row.full_sim_seconds + row.tbp_seconds;
+  obs::JsonValue entries = obs::JsonValue::object();
+  double total_sim_seconds = 0.0;
+  for (const harness::ExperimentRow& row : rows) {
+    obs::JsonValue entry = obs::JsonValue::object();
+    entry.set("wall_seconds", row.full_sim_seconds + row.tbp_seconds);
+    entry.set("full_sim_seconds", row.full_sim_seconds);
+    entry.set("tbp_seconds", row.tbp_seconds);
+    entry.set("error_pct", row.tbpoint.err_pct);
+    entry.set("from_cache", row.from_cache);
+    // Exact-simulation throughput: cycles the full run simulated per
+    // second of wall time.  The denominator is the row's own timing, so
+    // cached rows report the original run's rate.
+    const double full_cycles = row.full_ipc > 0.0
+        ? static_cast<double>(row.total_warp_insts) / row.full_ipc
+        : 0.0;
+    entry.set("sim_cycles_per_second",
+              row.full_sim_seconds > 0.0 ? full_cycles / row.full_sim_seconds
+                                         : 0.0);
+    if (const auto hits = row.metrics.counter("sim.l1.hits")) {
+      const std::uint64_t misses =
+          row.metrics.counter("sim.l1.misses").value_or(0);
+      const double accesses = static_cast<double>(*hits + misses);
+      entry.set("l1_hit_rate", accesses > 0.0
+                                   ? static_cast<double>(*hits) / accesses
+                                   : 0.0);
     }
-    obs::JsonValue body = obs::JsonValue::object();
-    body.set("bench", tool);
-    body.set("entries", std::move(entries));
-    body.set("total_sim_seconds", total_sim_seconds);
-    body.set("wall_seconds", wall_seconds);
-    // Result-store traffic for this process (EXPERIMENTS.md "Result store"
-    // reads the hit rate off repeated runs).  Cache-state-dependent, like
-    // every other number in this document — the byte-deterministic run
-    // manifest deliberately excludes it.
-    {
-      obs::MetricsShard cache_shard;
-      harness::flush_cache_metrics(&cache_shard);
-      obs::MetricsSnapshot cache_metrics;
-      cache_metrics.absorb(cache_shard);
-      obs::JsonValue store = obs::JsonValue::object();
-      for (const std::string_view name :
-           {"hits", "misses", "puts", "evictions", "quarantined", "rebuilds"}) {
-        store.set(std::string(name),
-                  cache_metrics.counter("store." + std::string(name))
-                      .value_or(0));
-      }
-      body.set("store", std::move(store));
+    entries.set(row.workload, std::move(entry));
+    total_sim_seconds += row.full_sim_seconds + row.tbp_seconds;
+  }
+  obs::JsonValue body = obs::JsonValue::object();
+  body.set("bench", tool);
+  body.set("entries", std::move(entries));
+  body.set("total_sim_seconds", total_sim_seconds);
+  body.set("wall_seconds", wall_seconds);
+  // Result-store traffic for this process (EXPERIMENTS.md "Result store"
+  // reads the hit rate off repeated runs).  Cache-state-dependent, like
+  // every other number in this document — the byte-deterministic run
+  // manifest deliberately excludes it.
+  {
+    obs::MetricsShard cache_shard;
+    harness::flush_cache_metrics(&cache_shard);
+    obs::MetricsSnapshot cache_metrics;
+    cache_metrics.absorb(cache_shard);
+    obs::JsonValue store = obs::JsonValue::object();
+    for (const std::string_view name :
+         {"hits", "misses", "puts", "evictions", "quarantined", "rebuilds"}) {
+      store.set(std::string(name),
+                cache_metrics.counter("store." + std::string(name))
+                    .value_or(0));
     }
-    const Status status = obs::write_json_file(
-        obs::seal_json(obs::kBenchPerfSchema, std::move(body)),
-        flags.perf_json_path);
-    if (status.ok()) {
-      std::fprintf(stderr, "[bench] wrote %s\n", flags.perf_json_path.c_str());
-    } else {
-      std::fprintf(stderr, "[bench] %s\n", status.to_string().c_str());
-    }
+    body.set("store", std::move(store));
+  }
+  const Status status = obs::write_json_file(
+      obs::seal_json(obs::kBenchPerfSchema, std::move(body)),
+      flags.perf_json_path);
+  if (status.ok()) {
+    std::fprintf(stderr, "[bench] wrote %s\n", flags.perf_json_path.c_str());
   } else {
-    std::fprintf(stderr,
-                 "[bench] --perf-json ignored: observability compiled out "
-                 "(TBP_OBS=OFF)\n");
+    std::fprintf(stderr, "[bench] %s\n", status.to_string().c_str());
   }
 }
 

@@ -80,21 +80,15 @@ inline int run_micro_bench(const std::string& bench_name, int argc,
   benchmark::RunSpecifiedBenchmarks(&reporter);
 
   if (!perf_path.empty()) {
-    if constexpr (obs::kEnabled) {
-      const Status status = obs::write_json_file(
-          obs::seal_json(obs::kBenchPerfSchema,
-                         std::move(reporter).body(bench_name)),
-          perf_path);
-      if (status.ok()) {
-        std::fprintf(stderr, "[bench] wrote %s\n", perf_path.c_str());
-      } else {
-        std::fprintf(stderr, "[bench] %s\n", status.to_string().c_str());
-        return 1;
-      }
+    const Status status = obs::write_json_file(
+        obs::seal_json(obs::kBenchPerfSchema,
+                       std::move(reporter).body(bench_name)),
+        perf_path);
+    if (status.ok()) {
+      std::fprintf(stderr, "[bench] wrote %s\n", perf_path.c_str());
     } else {
-      std::fprintf(stderr,
-                   "[bench] --perf-json ignored: observability compiled out "
-                   "(TBP_OBS=OFF)\n");
+      std::fprintf(stderr, "[bench] %s\n", status.to_string().c_str());
+      return 1;
     }
   }
   benchmark::Shutdown();

@@ -11,18 +11,14 @@ RegionSampler::RegionSampler(const profile::LaunchProfile& launch,
     : launch_(&launch), table_(&table), options_(options) {}
 
 void RegionSampler::end_phase_span(std::uint64_t cycle) {
-  if constexpr (obs::kEnabled) {
-    if (trace_ == nullptr || state_ == State::kNormal) return;
-    const char* name =
-        state_ == State::kWarming ? "warm-up" : "fast-forward";
-    trace_->complete(
-        name, "region", trace_pid_, trace_tid_, phase_start_cycle_,
-        cycle - phase_start_cycle_,
-        {{"region", obs::json_number(static_cast<std::uint64_t>(
-                        current_region_ < 0 ? 0 : current_region_))}});
-  } else {
-    (void)cycle;
-  }
+  if (trace_ == nullptr || state_ == State::kNormal) return;
+  const char* name =
+      state_ == State::kWarming ? "warm-up" : "fast-forward";
+  trace_->complete(
+      name, "region", trace_pid_, trace_tid_, phase_start_cycle_,
+      cycle - phase_start_cycle_,
+      {{"region", obs::json_number(static_cast<std::uint64_t>(
+                      current_region_ < 0 ? 0 : current_region_))}});
 }
 
 sim::BlockAction RegionSampler::on_block_dispatch(std::uint32_t block_id,
@@ -103,10 +99,8 @@ void RegionSampler::reevaluate_entry(std::uint64_t cycle) {
       current_region_ = dominant;
       warm_ipcs_.clear();
       warming_since_cycle_ = cycle;
-      if constexpr (obs::kEnabled) {
-        phase_start_cycle_ = cycle;
-        ++warm_phases_;
-      }
+      phase_start_cycle_ = cycle;
+      ++warm_phases_;
     }
   } else if (state_ == State::kWarming) {
     end_phase_span(cycle);
@@ -123,7 +117,7 @@ void RegionSampler::on_sampling_unit(const sim::SamplingUnit& unit) {
   // before the region was entered mixes outside work into its IPC.
   if (unit.start_cycle < warming_since_cycle_) return;
 
-  if constexpr (obs::kEnabled) ++warm_units_;
+  ++warm_units_;
   warm_ipcs_.push_back(unit.ipc());
   const std::size_t n = warm_ipcs_.size();
   bool stable = false;
@@ -137,7 +131,7 @@ void RegionSampler::on_sampling_unit(const sim::SamplingUnit& unit) {
   if (!stable) return;
 
   end_phase_span(unit.end_cycle);  // warming ends where fast-forward begins
-  if constexpr (obs::kEnabled) phase_start_cycle_ = unit.end_cycle;
+  phase_start_cycle_ = unit.end_cycle;
   state_ = State::kFastForward;
   open_skip_ = SkippedRegion{
       .region_id = current_region_,
@@ -159,15 +153,13 @@ void RegionSampler::finalize() {
     state_ = State::kNormal;
     current_region_ = RegionTable::kNoRegion;
   }
-  if constexpr (obs::kEnabled) {
-    if (metrics_ != nullptr) {
-      metrics_->add("core.sampler.regions_fast_forwarded", skipped_.size());
-      metrics_->add("core.sampler.skipped_blocks", total_skipped_blocks());
-      metrics_->add("core.sampler.skipped_warp_insts",
-                    total_skipped_warp_insts());
-      metrics_->add("core.sampler.warm_phases", warm_phases_);
-      metrics_->add("core.sampler.warm_units", warm_units_);
-    }
+  if (metrics_ != nullptr) {
+    metrics_->add("core.sampler.regions_fast_forwarded", skipped_.size());
+    metrics_->add("core.sampler.skipped_blocks", total_skipped_blocks());
+    metrics_->add("core.sampler.skipped_warp_insts",
+                  total_skipped_warp_insts());
+    metrics_->add("core.sampler.warm_phases", warm_phases_);
+    metrics_->add("core.sampler.warm_units", warm_units_);
   }
 }
 

@@ -65,23 +65,21 @@ ExperimentRow run_comparison(const workloads::Workload& workload,
     sim::GpuSimulator launch_sim(full_config);
     sim::RunOptions run_options;
     run_options.sim_jobs = options.sim_jobs;
-    if constexpr (prof::kEnabled) run_options.prof = options.prof;
-    if constexpr (obs::kEnabled) {
-      if (options.observe != nullptr) {
-        // Per-launch shard/buffer keyed by launch index: the merge order is
-        // the key order, so --jobs never changes the exported files.
-        const std::string key = row.workload + "/full/" + obs::key_index(i);
-        const std::uint32_t pid =
-            options.observe_pid_base + static_cast<std::uint32_t>(i);
-        run_options.observe = sim::LaunchObservation{
-            .metrics = options.observe->metrics_shard(key),
-            .trace = options.observe->trace_buffer(key),
-            .pid = pid,
-        };
-        if (run_options.observe.trace != nullptr) {
-          run_options.observe.trace->process_name(
-              pid, row.workload + ": full launch " + std::to_string(i));
-        }
+    run_options.prof = options.prof;
+    if (options.observe != nullptr) {
+      // Per-launch shard/buffer keyed by launch index: the merge order is
+      // the key order, so --jobs never changes the exported files.
+      const std::string key = row.workload + "/full/" + obs::key_index(i);
+      const std::uint32_t pid =
+          options.observe_pid_base + static_cast<std::uint32_t>(i);
+      run_options.observe = sim::LaunchObservation{
+          .metrics = options.observe->metrics_shard(key),
+          .trace = options.observe->trace_buffer(key),
+          .pid = pid,
+      };
+      if (run_options.observe.trace != nullptr) {
+        run_options.observe.trace->process_name(
+            pid, row.workload + ": full launch " + std::to_string(i));
       }
     }
     launch_results[i] = launch_sim.run_launch(*sources[i], run_options);
@@ -137,12 +135,10 @@ ExperimentRow run_comparison(const workloads::Workload& workload,
   core::TBPointOptions tbp_options = options.tbpoint;
   tbp_options.jobs = options.jobs;
   tbp_options.sim_jobs = options.sim_jobs;
-  if constexpr (obs::kEnabled) {
-    if (options.observe != nullptr) {
-      tbp_options.observe = options.observe;
-      tbp_options.observe_key_prefix = row.workload + "/";
-      tbp_options.observe_pid_base = options.observe_pid_base;
-    }
+  if (options.observe != nullptr) {
+    tbp_options.observe = options.observe;
+    tbp_options.observe_key_prefix = row.workload + "/";
+    tbp_options.observe_pid_base = options.observe_pid_base;
   }
   const core::TBPointRun tbp =
       core::run_tbpoint(sources, app_profile, config, tbp_options);
@@ -159,13 +155,11 @@ ExperimentRow run_comparison(const workloads::Workload& workload,
   // so it inherits the row's --jobs bit-identity.
   row.attribution = core::attribute_errors(app_profile, tbp, exact);
 
-  if constexpr (obs::kEnabled) {
-    if (options.observe != nullptr && options.observe->metrics_on()) {
-      core::record_attribution(
-          row.attribution,
-          options.observe->metrics_shard(row.workload + "/attribution"));
-      row.metrics = options.observe->merged_metrics(row.workload + "/");
-    }
+  if (options.observe != nullptr && options.observe->metrics_on()) {
+    core::record_attribution(
+        row.attribution,
+        options.observe->metrics_shard(row.workload + "/attribution"));
+    row.metrics = options.observe->merged_metrics(row.workload + "/");
   }
 
   return row;

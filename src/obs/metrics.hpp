@@ -3,13 +3,9 @@
 //
 // Design constraints (in priority order):
 //
-//  1. Zero cost when observability is off.  The compile-time switch
-//     TBP_OBS_ENABLED (CMake option TBP_OBS, default ON) gates every
-//     recording site behind `if constexpr (obs::kEnabled)`, so a disabled
-//     build contains no metric loads, stores or branches at all.  In an
-//     enabled build, recording is additionally gated on a null check of the
-//     shard/histogram pointer, so runs that did not ask for metrics pay one
-//     predictable branch per (cold) recording site.
+//  1. Near-zero cost when a run does not ask for metrics.  Every recording
+//     site is gated on a null check of the shard/histogram pointer, so such
+//     runs pay one predictable branch per (cold) recording site.
 //
 //  2. Determinism under --jobs.  A MetricsShard is single-threaded by
 //     contract: every parallel task records into its own shard, keyed by a
@@ -38,14 +34,7 @@
 #include <string_view>
 #include <vector>
 
-// Compile-time master switch; 0 removes every recording path.
-#ifndef TBP_OBS_ENABLED
-#define TBP_OBS_ENABLED 1
-#endif
-
 namespace tbp::obs {
-
-inline constexpr bool kEnabled = TBP_OBS_ENABLED != 0;
 
 /// Fixed-bucket histogram: bucket i counts values <= upper_bounds[i] (and
 /// greater than the previous bound); one implicit overflow bucket counts

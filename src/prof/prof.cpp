@@ -75,7 +75,6 @@ std::uint64_t percentile_upper_bound(const obs::Histogram& hist,
 
 void ShardSkew::note_round(std::span<const double> round_busy_seconds,
                            double round_wall_seconds) {
-  if constexpr (!kEnabled) return;
   rounds += 1;
   if (round_wall_seconds > 0.0) wall_seconds += round_wall_seconds;
   if (worker_busy_seconds.size() < round_busy_seconds.size()) {
@@ -131,15 +130,10 @@ double ShardSkew::mean_imbalance_ratio() const noexcept {
   return imbalance_ratio_sum / static_cast<double>(imbalance_samples);
 }
 
-ProfSession::ProfSession() {
-  if constexpr (kEnabled) {
-    origin_seconds_ = timing::monotonic_seconds();
-  }
-}
+ProfSession::ProfSession() : origin_seconds_(timing::monotonic_seconds()) {}
 
 void ProfSession::record_span(std::string_view name, double start_seconds,
                               double duration_seconds) {
-  if constexpr (!kEnabled) return;
   const double clamped = std::max(0.0, duration_seconds);
   const std::scoped_lock lock(mutex_);
   SpanStats& stats = spans_[std::string(name)];
@@ -159,7 +153,6 @@ void ProfSession::record_span(std::string_view name, double start_seconds,
 }
 
 void ProfSession::absorb_skew(const ShardSkew& skew) {
-  if constexpr (!kEnabled) return;
   const std::scoped_lock lock(mutex_);
   skew_.merge(skew);
 }
@@ -181,8 +174,7 @@ std::vector<ProfSession::RawSpan> ProfSession::raw_spans() const {
 }
 
 ScopedSpan::ScopedSpan(ProfSession* session, std::string_view name)
-    : session_(nullptr), name_(name), start_(0.0) {
-  if constexpr (kEnabled) session_ = session;
+    : session_(session), name_(name), start_(0.0) {
   if (session_ != nullptr) start_ = timing::monotonic_seconds();
 }
 

@@ -22,15 +22,14 @@
 //    doorway); this layer never touches <chrono> directly.
 //  - Profiling output lives ONLY in the tbp-prof-v1 sidecar and the trace
 //    wall-clock track — never in sealed manifests.  Run manifests are
-//    byte-identical with profiling on, off, and compiled out
-//    (tests/prof/quarantine_test.cpp + the CI prof jobs pin this).
+//    byte-identical with profiling on and off
+//    (tests/prof/quarantine_test.cpp + the CI prof-smoke job pin this).
 //  - Prof values may only reach `*_seconds` / `*_ratio` reporting fields
 //    (the lint sink rule), so a wall-clock number can never masquerade as
 //    a simulated quantity downstream.
 //
-// Like TBP_OBS, the compile-time switch TBP_PROF (macro TBP_PROF_ENABLED)
-// removes every recording path; the types stay compiled so tbp-report can
-// still *read* sidecars in a TBP_PROF=OFF build.
+// Recording is gated at runtime only: a null ProfSession pointer makes
+// every ScopedSpan and shard-skew hook a no-op without reading a clock.
 #pragma once
 
 #include <cstdint>
@@ -43,14 +42,7 @@
 
 #include "obs/metrics.hpp"
 
-// Compile-time master switch; 0 removes every recording path.
-#ifndef TBP_PROF_ENABLED
-#define TBP_PROF_ENABLED 1
-#endif
-
 namespace tbp::prof {
-
-inline constexpr bool kEnabled = TBP_PROF_ENABLED != 0;
 
 /// Fixed microsecond bucket upper bounds for latency histograms: powers of
 /// two from 1us to ~67s.  Fixed at compile time so every histogram of every

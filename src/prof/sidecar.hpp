@@ -2,10 +2,9 @@
 // wall-clock track for the chrome://tracing exporter.
 //
 // Profiling data NEVER enters a run manifest — it rides in this separate
-// artifact so manifests stay byte-identical with profiling on, off, or
-// compiled out.  The sidecar reuses the sealed-JSON envelope (crc32 +
-// schema tag) so tbp-report can validate and render it like any other
-// document.  Body shape:
+// artifact so manifests stay byte-identical with profiling on or off.  The
+// sidecar reuses the sealed-JSON envelope (crc32 + schema tag) so tbp-report
+// can validate and render it like any other document.  Body shape:
 //
 //   {"skew": {"rounds": N, "n_workers": W, "n_sms": S,
 //             "wall_seconds": ..., "sm_busy_seconds": [...],

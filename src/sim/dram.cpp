@@ -91,9 +91,7 @@ void DramChannel::tick(std::uint64_t cycle, std::vector<DramReply>& replies) {
 
   ++stats_.scheduling_decisions;
   stats_.queue_occupancy_sum += queued_ + 1;
-  if constexpr (obs::kEnabled) {
-    if (queue_depth_hist_ != nullptr) queue_depth_hist_->record(queued_ + 1);
-  }
+  if (queue_depth_hist_ != nullptr) queue_depth_hist_->record(queued_ + 1);
   if (chosen_is_hit) {
     ++stats_.row_hits;
   } else {

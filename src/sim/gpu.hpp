@@ -118,14 +118,14 @@ struct RunOptions {
   /// cannot cover (single SM, zero interconnect latency) — runs the classic
   /// serial loop.
   std::uint32_t sim_jobs = 1;
-  /// Metrics/timeline capture; ignored entirely in a TBP_OBS-off build.
+  /// Metrics/timeline capture; null members leave that side off.
   LaunchObservation observe;
   /// Wall-clock self-profiling sink (src/prof).  A pure observer like
   /// `observe`: the sharded engine absorbs per-SM busy and per-round worker
   /// busy/wait times into the session, and nothing flows back into
   /// simulated state — results stay byte-identical with the session
-  /// attached, detached, or compiled out (TBP_PROF=OFF).  Thread-safe, so
-  /// parallel launches may share one session.
+  /// attached or detached.  Thread-safe, so parallel launches may share one
+  /// session.
   prof::ProfSession* prof = nullptr;
 };
 

@@ -132,8 +132,7 @@ Status run_sharded(LaunchEngine& eng) {
   // discipline as the epoch-scoped values above — each worker writes only
   // its own slot during a round, the coordinator reads them between rounds
   // — and nothing here feeds back into simulated state.
-  prof::ProfSession* prof_session = nullptr;
-  if constexpr (prof::kEnabled) prof_session = eng.options.prof;
+  prof::ProfSession* prof_session = eng.options.prof;
   prof::ShardSkew skew;
   std::vector<double> round_busy;
   if (prof_session != nullptr) {
@@ -339,15 +338,13 @@ Status run_sharded(LaunchEngine& eng) {
   // serial engine keeps ticking them and charges every such cycle to the
   // idle stall bucket.  Settle the difference post-hoc so the per-SM
   // issued + stalled == cycles invariant holds for sharded runs too.
-  if constexpr (obs::kEnabled) {
-    if (!eng.stall_stats.empty()) {
-      for (std::uint32_t s = 0; s < n_sms; ++s) {
-        const SmShard& shard = shards[s];
-        const std::uint64_t idle_from =
-            shard.finished ? shard.idle_start : shard.pos;
-        if (eng.sms[s].idle() && end_cycle > idle_from) {
-          eng.stall_stats[s].stall_idle += end_cycle - idle_from;
-        }
+  if (!eng.stall_stats.empty()) {
+    for (std::uint32_t s = 0; s < n_sms; ++s) {
+      const SmShard& shard = shards[s];
+      const std::uint64_t idle_from =
+          shard.finished ? shard.idle_start : shard.pos;
+      if (eng.sms[s].idle() && end_cycle > idle_from) {
+        eng.stall_stats[s].stall_idle += end_cycle - idle_from;
       }
     }
   }

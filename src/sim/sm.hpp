@@ -117,12 +117,10 @@ class SmCore {
   void issue(std::uint64_t cycle);
 
   /// Attaches per-cycle issue/stall-cause accounting writing into `out`
-  /// (null detaches).  `out` must outlive the SM or the next call.  In a
-  /// build with TBP_OBS off this is a no-op and issue() carries no
-  /// accounting code at all; with it on but detached, the only cost is one
-  /// null check per cycle.
+  /// (null detaches).  `out` must outlive the SM or the next call.  While
+  /// detached, the only cost is one null check per cycle.
   void enable_stall_accounting(SmStallStats* out) noexcept {
-    if constexpr (obs::kEnabled) stall_ = out;
+    stall_ = out;
   }
 
   void on_mem_complete(WarpToken token, std::uint64_t cycle);
@@ -184,13 +182,10 @@ class SmCore {
   }
 
   /// Every warp-state transition funnels through here so the per-state
-  /// population counts stay exact; with TBP_OBS off this collapses to the
-  /// bare assignment.
+  /// population counts stay exact.
   void set_state(WarpContext& ctx, WarpState next) noexcept {
-    if constexpr (obs::kEnabled) {
-      --state_count_[static_cast<std::size_t>(ctx.state)];
-      ++state_count_[static_cast<std::size_t>(next)];
-    }
+    --state_count_[static_cast<std::size_t>(ctx.state)];
+    ++state_count_[static_cast<std::size_t>(next)];
     ctx.state = next;
   }
 

@@ -3,7 +3,6 @@
 // suppression syntax is exercised in both forms, exit codes are checked,
 // and — the teeth — the real repository tree must lint clean.
 #include <algorithm>
-#include <filesystem>
 #include <fstream>
 #include <set>
 #include <sstream>
@@ -451,48 +450,6 @@ TEST(LintOutput, SarifValidatesAgainstMinimalSchemaShape) {
             "src/a.cpp");
   EXPECT_EQ(loc->find("region")->find("startLine")->as_u64(), 42u);
   EXPECT_EQ(results->items()[1].find("level")->as_string(), "warning");
-}
-
-// Cold run populates the summary store; warm run must hit for every file
-// and still render byte-identical diagnostics — the incremental cache is
-// only allowed to save time, never to change output.
-TEST(LintCache, WarmRunSkipsReanalysisWithIdenticalDiagnostics) {
-  namespace fs = std::filesystem;
-  const fs::path cache_dir =
-      fs::temp_directory_path() / "tbp-lint-cache-test";
-  fs::remove_all(cache_dir);
-
-  LintOptions options;
-  options.root = TBP_LINT_FIXTURE_DIR;
-  options.subdirs = {"."};
-  options.excludes = {};
-  options.cache_dir = cache_dir.string();
-  options.config = fixture_config();
-  options.config.order_sensitive = {""};
-
-  const LintResult cold = tbp_lint::run_lint(options);
-  ASSERT_FALSE(cold.io_error) << cold.io_message;
-  ASSERT_TRUE(cold.cache_enabled);
-  EXPECT_EQ(cold.cache_hits, 0u);
-  EXPECT_EQ(cold.cache_misses, cold.files_scanned);
-
-  const LintResult warm = tbp_lint::run_lint(options);
-  ASSERT_FALSE(warm.io_error) << warm.io_message;
-  ASSERT_TRUE(warm.cache_enabled);
-  EXPECT_GT(warm.files_scanned, 0u);
-  EXPECT_EQ(warm.cache_misses, 0u);
-  EXPECT_EQ(warm.cache_hits, warm.files_scanned);
-
-  const auto render = [](const LintResult& r) {
-    std::ostringstream out;
-    for (const Diagnostic& d : r.diagnostics) {
-      out << tbp_lint::format_diagnostic(d, OutputFormat::kText) << '\n';
-    }
-    return out.str();
-  };
-  EXPECT_FALSE(render(cold).empty());
-  EXPECT_EQ(render(cold), render(warm));
-  fs::remove_all(cache_dir);
 }
 
 // The acceptance gate: the real tree has zero unsuppressed findings under

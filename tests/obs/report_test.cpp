@@ -164,9 +164,6 @@ TEST(MetricsToValueTest, MirrorsSnapshotSorted) {
   MetricsSnapshot snapshot;
   snapshot.absorb(shard);
   const JsonValue v = metrics_to_value(snapshot);
-  // Same in TBP_OBS=OFF builds: the shard/snapshot *data* APIs stay
-  // functional (only recording call sites compile out), and tbp-report
-  // must keep reading manifests either way.
   EXPECT_EQ(json_serialize(v),
             "{\"counters\":{\"a.one\":1,\"b.two\":2},\"histograms\":{}}");
 }

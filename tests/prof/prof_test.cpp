@@ -61,7 +61,6 @@ TEST(ProfPercentileTest, OverflowValuesSaturateToLastBound) {
 }
 
 TEST(ShardSkewTest, NoteRoundAccumulatesBusyWaitAndRatios) {
-  if (!kEnabled) GTEST_SKIP() << "profiling compiled out";
   ShardSkew skew;
   skew.n_workers = 2;
   skew.n_sms = 2;
@@ -131,7 +130,6 @@ TEST(ShardSkewTest, MergeSumsAndGrowsToLargerGeometry) {
 
 TEST(ProfSessionTest, SpansAggregateByNameWithPercentiles) {
   ProfSession session;
-  if (!kEnabled) GTEST_SKIP() << "profiling compiled out";
   session.record_span("svc.sim", 0.0, 0.001);   // 1000us
   session.record_span("svc.sim", 0.0, 0.002);   // 2000us
   session.record_span("svc.gc", 0.0, 0.0001);   // 100us
@@ -152,7 +150,6 @@ TEST(ProfSessionTest, SpansAggregateByNameWithPercentiles) {
 
 TEST(ProfSessionTest, ScopedSpanRecordsOnceAndCancelDropsIt) {
   ProfSession session;
-  if (!kEnabled) GTEST_SKIP() << "profiling compiled out";
   {
     ScopedSpan span(&session, "bracket");
     span.finish();
@@ -172,7 +169,6 @@ TEST(ProfSessionTest, ScopedSpanRecordsOnceAndCancelDropsIt) {
 
 TEST(ProfSidecarTest, SealedRoundtripPreservesSkewAndSpans) {
   ProfSession session;
-  if (!kEnabled) GTEST_SKIP() << "profiling compiled out";
   ShardSkew skew;
   skew.n_workers = 2;
   skew.n_sms = 4;
@@ -213,7 +209,6 @@ TEST(ProfSidecarTest, SealedRoundtripPreservesSkewAndSpans) {
 
 TEST(ProfSidecarTest, WallClockTrackEmitsSpansUnderReservedPid) {
   ProfSession session;
-  if (!kEnabled) GTEST_SKIP() << "profiling compiled out";
   session.record_span("a", 0.0, 0.001);
   session.record_span("b", 0.0, 0.002);
 

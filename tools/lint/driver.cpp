@@ -4,13 +4,11 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
-#include <memory>
 #include <ostream>
 #include <set>
 #include <sstream>
 
 #include "obs/report.hpp"
-#include "store/store.hpp"
 
 namespace tbp_lint {
 namespace {
@@ -33,15 +31,6 @@ namespace fs = std::filesystem;
   return std::any_of(
       excludes.begin(), excludes.end(),
       [&](const std::string& p) { return rel.rfind(p, 0) == 0; });
-}
-
-/// Store labels exclude '/' — paths become "src:sim:sm.cpp".
-[[nodiscard]] std::string path_label(const std::string& path) {
-  std::string label = path;
-  for (char& c : label) {
-    if (c == '/') c = ':';
-  }
-  return label;
 }
 
 void apply_suppressions(const FileSummary& summary,
@@ -166,62 +155,22 @@ LintResult run_lint(const LintOptions& options) {
     return -1;
   };
 
-  // Incremental cache: an unopenable store degrades to a cold run rather
-  // than failing the lint (CI may run on a read-only checkout).
-  std::unique_ptr<tbp::store::ContentStore> cache;
-  if (!options.cache_dir.empty()) {
-    auto store = std::make_unique<tbp::store::ContentStore>(
-        fs::path(options.cache_dir), tbp::store::StoreOptions{});
-    if (store->open().ok()) {
-      cache = std::move(store);
-      result.cache_enabled = true;
-    }
-  }
-  const std::string fingerprint = config_fingerprint(options.config);
-
-  // Pass one: summary per file, from the store when the content triple is
-  // unchanged.
+  // Pass one: summary per file.
   std::vector<FileSummary> summaries(files.size());
   std::vector<LexedFile> lexed(files.size());
-  std::vector<tbp::store::StoreKey> keys(files.size());
-  std::vector<std::size_t> misses;
   for (std::size_t i = 0; i < files.size(); ++i) {
-    const int ci = companion_index(i);
-    std::string canonical = fingerprint;
-    canonical += '\0';
-    canonical += contents[i];
-    canonical += '\0';
-    if (ci >= 0) canonical += contents[static_cast<std::size_t>(ci)];
-    keys[i] = tbp::store::make_key("lint-summary", "tbp-lint-summary-v1",
-                                   canonical, path_label(files[i]));
-    if (cache != nullptr) {
-      auto hit = cache->get(keys[i]);
-      if (hit.ok() && parse_summary(hit.value(), &summaries[i]) &&
-          summaries[i].path == files[i]) {
-        ++result.cache_hits;
-        continue;
-      }
-      summaries[i] = FileSummary{};
-    }
     lexed[i] = lex(contents[i]);
     summaries[i] = build_file_summary(files[i], lexed[i], options.config);
-    misses.push_back(i);
   }
-  result.cache_misses = misses.size();
 
-  // Pass 1b: pair rules for the misses, then persist their summaries.
-  for (const std::size_t i : misses) {
+  // Pass 1b: pair rules, which read the paired header's summary.
+  for (std::size_t i = 0; i < files.size(); ++i) {
     const int ci = companion_index(i);
     const FileSummary* companion =
         ci >= 0 ? &summaries[static_cast<std::size_t>(ci)] : nullptr;
     run_pair_rules(files[i], lexed[i], options.config, companion,
                    &summaries[i]);
-    if (cache != nullptr) {
-      // A failed put only costs the next run a re-lex.
-      (void)cache->put(keys[i], serialize_summary(summaries[i])).ok();
-    }
   }
-  if (cache != nullptr) (void)cache->flush_index().ok();
 
   finish_lint(summaries, options.config, &result.suppressions_used,
               &result.diagnostics);
@@ -331,12 +280,7 @@ void print_report(const LintResult& result, OutputFormat format,
   if (format == OutputFormat::kSarif) out << render_sarif(result) << '\n';
   err << "tbp-lint: " << result.files_scanned << " files, " << errors
       << " error(s), " << warnings << " warning(s), "
-      << result.suppressions_used << " suppression(s) honored";
-  if (result.cache_enabled) {
-    err << ", cache: " << result.cache_hits << " hit(s), "
-        << result.cache_misses << " miss(es)";
-  }
-  err << '\n';
+      << result.suppressions_used << " suppression(s) honored\n";
 }
 
 int lint_exit_code(const LintResult& result, bool werror) {

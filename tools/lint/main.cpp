@@ -1,7 +1,7 @@
 // tbp_lint CLI.
 //
 //   tbp_lint --root <repo> [--format=text|github|sarif] [--werror]
-//            [--cache DIR] [subdirs...]
+//            [subdirs...]
 //   tbp_lint --list-rules
 //
 // Exit codes: 0 clean, 1 findings, 2 usage/IO error — stable for CI use.
@@ -15,14 +15,11 @@ namespace {
 
 void print_usage(std::ostream& out) {
   out << "usage: tbp_lint [--root DIR] [--format=text|github|sarif]\n"
-         "                [--werror] [--cache DIR] [--list-rules]\n"
-         "                [subdir...]\n"
+         "                [--werror] [--list-rules] [subdir...]\n"
          "\n"
          "Static determinism / error-discipline / shard-safety checks for\n"
          "the tbpoint tree.  Default subdirs: src tools bench tests\n"
-         "(relative to --root).  --cache keeps per-file summaries in a\n"
-         "ContentStore so unchanged files are not re-analyzed.  Suppress a\n"
-         "finding inline with\n"
+         "(relative to --root).  Suppress a finding inline with\n"
          "  // tbp-lint: allow(<rule>) -- <justification>\n";
 }
 
@@ -67,18 +64,6 @@ int main(int argc, char** argv) {
     }
     if (arg == "--format=sarif") {
       format = tbp_lint::OutputFormat::kSarif;
-      continue;
-    }
-    if (arg == "--cache") {
-      if (i + 1 >= argc) {
-        std::cerr << "tbp-lint: --cache needs a directory\n";
-        return 2;
-      }
-      options.cache_dir = argv[++i];
-      continue;
-    }
-    if (arg.rfind("--cache=", 0) == 0) {
-      options.cache_dir = arg.substr(8);
       continue;
     }
     if (arg == "--root") {

@@ -1,12 +1,12 @@
 // Rule definitions for tbp_lint.
 //
 // Each rule protects a repo invariant (DESIGN.md "Static invariants"):
-// determinism rules keep the bit-identical `--jobs`/`TBP_OBS` guarantees
-// enforceable at review time instead of only by the runtime property tests;
-// the error-discipline rules keep the Status/Result contract from PR 1
+// determinism rules keep the bit-identical `--jobs`/`--metrics`/`--prof`
+// guarantees enforceable at review time instead of only by the runtime
+// property tests; the error-discipline rules keep the Status/Result contract
 // un-droppable; the shard-safety / lock-discipline / layering families keep
-// the PR-7/8 concurrency and module contracts honest; hygiene rules are
-// cheap tripwires.  Rules are token-pattern heuristics, tuned to this
+// the sharded-engine and module contracts honest; hygiene rules are cheap
+// tripwires.  Rules are token-pattern heuristics, tuned to this
 // codebase — false positives are handled by the inline suppression syntax
 // (see driver.hpp), which requires a written justification.
 //
@@ -109,8 +109,7 @@ struct StatusFunction {
 [[nodiscard]] bool is_header(const std::string& path);
 
 /// Single-file rules (determinism-*, pragma-once, naked-new): everything
-/// they read is in this file's tokens plus the config, so their findings
-/// are cacheable per file.
+/// they read is in this file's tokens plus the config.
 void run_local_rules(const std::string& path, const LexedFile& lexed,
                      const LintConfig& config, std::vector<Diagnostic>* out);
 

@@ -41,16 +41,27 @@ using namespace tbp;
   std::exit(2);
 }
 
+[[noreturn]] void bad_flag_value(const std::string& name, const Status& status) {
+  std::fprintf(stderr, "tbp-client: invalid value for %s: %s\n", name.c_str(),
+               status.message().c_str());
+  std::exit(2);
+}
+
 std::uint64_t flag_u64_or_die(int argc, char** argv, const std::string& name,
                               std::uint64_t fallback, int base = 10) {
   const std::string v = harness::flag_value(argc, argv, name, "");
   if (v.empty()) return fallback;
   const Result<std::uint64_t> parsed = harness::parse_u64(v, base);
-  if (!parsed.has_value()) {
-    std::fprintf(stderr, "tbp-client: invalid value for %s: %s\n",
-                 name.c_str(), parsed.status().message().c_str());
-    std::exit(2);
-  }
+  if (!parsed.has_value()) bad_flag_value(name, parsed.status());
+  return *parsed;
+}
+
+std::uint32_t flag_u32_or_die(int argc, char** argv, const std::string& name,
+                              std::uint32_t fallback) {
+  const std::string v = harness::flag_value(argc, argv, name, "");
+  if (v.empty()) return fallback;
+  const Result<std::uint32_t> parsed = harness::parse_u32(v);
+  if (!parsed.has_value()) bad_flag_value(name, parsed.status());
   return *parsed;
 }
 
@@ -119,14 +130,12 @@ int cmd_submit(int argc, char** argv) {
 
   service::RequestSpec spec;
   spec.workload = argv[2];
-  spec.scale.divisor = static_cast<std::uint32_t>(
-      flag_u64_or_die(argc, argv, "--scale", spec.scale.divisor));
+  spec.scale.divisor =
+      flag_u32_or_die(argc, argv, "--scale", spec.scale.divisor);
   spec.scale.seed =
       flag_u64_or_die(argc, argv, "--seed", spec.scale.seed, /*base=*/0);
-  spec.sms = static_cast<std::uint32_t>(
-      flag_u64_or_die(argc, argv, "--sms", spec.sms));
-  spec.warps = static_cast<std::uint32_t>(
-      flag_u64_or_die(argc, argv, "--warps", spec.warps));
+  spec.sms = flag_u32_or_die(argc, argv, "--sms", spec.sms);
+  spec.warps = flag_u32_or_die(argc, argv, "--warps", spec.warps);
   spec.gto = harness::has_flag(argc, argv, "--gto");
 
   // Validate locally (round-trip through the wire parser) so typos fail

@@ -57,16 +57,27 @@ void handle_stop_signal(int) { g_stop.store(true, std::memory_order_relaxed); }
   std::exit(2);
 }
 
+[[noreturn]] void bad_flag_value(const std::string& name, const Status& status) {
+  std::fprintf(stderr, "tbpointd: invalid value for %s: %s\n", name.c_str(),
+               status.message().c_str());
+  std::exit(2);
+}
+
 std::uint64_t flag_u64_or_die(int argc, char** argv, const std::string& name,
                               std::uint64_t fallback) {
   const std::string v = harness::flag_value(argc, argv, name, "");
   if (v.empty()) return fallback;
   const Result<std::uint64_t> parsed = harness::parse_u64(v);
-  if (!parsed.has_value()) {
-    std::fprintf(stderr, "tbpointd: invalid value for %s: %s\n", name.c_str(),
-                 parsed.status().message().c_str());
-    std::exit(2);
-  }
+  if (!parsed.has_value()) bad_flag_value(name, parsed.status());
+  return *parsed;
+}
+
+std::uint32_t flag_u32_or_die(int argc, char** argv, const std::string& name,
+                              std::uint32_t fallback) {
+  const std::string v = harness::flag_value(argc, argv, name, "");
+  if (v.empty()) return fallback;
+  const Result<std::uint32_t> parsed = harness::parse_u32(v);
+  if (!parsed.has_value()) bad_flag_value(name, parsed.status());
   return *parsed;
 }
 
@@ -83,10 +94,8 @@ int main(int argc, char** argv) {
                                             options.store_max_bytes);
   options.jobs = static_cast<std::size_t>(flag_u64_or_die(
       argc, argv, "--jobs", static_cast<std::uint64_t>(par::default_jobs())));
-  options.sim_jobs = static_cast<std::uint32_t>(
-      flag_u64_or_die(argc, argv, "--sim-jobs", 1));
-  options.poll_ms = static_cast<std::uint32_t>(
-      flag_u64_or_die(argc, argv, "--poll-ms", options.poll_ms));
+  options.sim_jobs = flag_u32_or_die(argc, argv, "--sim-jobs", 1);
+  options.poll_ms = flag_u32_or_die(argc, argv, "--poll-ms", options.poll_ms);
   options.max_requests = flag_u64_or_die(argc, argv, "--max-requests", 0);
   if (options.jobs == 0 || options.sim_jobs == 0 || options.poll_ms == 0) {
     std::fprintf(stderr,
@@ -98,14 +107,8 @@ int main(int argc, char** argv) {
   const std::string prof_path = harness::flag_value(argc, argv, "--prof", "");
   std::unique_ptr<prof::ProfSession> prof_session;
   if (!prof_path.empty()) {
-    if constexpr (prof::kEnabled) {
-      prof_session = std::make_unique<prof::ProfSession>();
-      options.prof = prof_session.get();
-    } else {
-      std::fprintf(stderr,
-                   "tbpointd: --prof ignored: self-profiling compiled out "
-                   "(TBP_PROF=OFF)\n");
-    }
+    prof_session = std::make_unique<prof::ProfSession>();
+    options.prof = prof_session.get();
   }
 
   std::signal(SIGINT, handle_stop_signal);
@@ -170,23 +173,17 @@ int main(int argc, char** argv) {
   if (const std::string metrics_path =
           harness::flag_value(argc, argv, "--metrics", "");
       !metrics_path.empty()) {
-    if constexpr (obs::kEnabled) {
-      obs::MetricsShard shard;
-      daemon.flush_metrics(&shard);
-      obs::MetricsSnapshot snapshot;
-      snapshot.absorb(shard);
-      const Status wrote = obs::write_metrics_file(snapshot, metrics_path);
-      if (!wrote.ok()) {
-        std::fprintf(stderr, "tbpointd: cannot write %s: %s\n",
-                     metrics_path.c_str(), wrote.to_string().c_str());
-        return 1;
-      }
-      std::printf("tbpointd: wrote metrics %s\n", metrics_path.c_str());
-    } else {
-      std::fprintf(stderr,
-                   "tbpointd: --metrics ignored: observability compiled out "
-                   "(TBP_OBS=OFF)\n");
+    obs::MetricsShard shard;
+    daemon.flush_metrics(&shard);
+    obs::MetricsSnapshot snapshot;
+    snapshot.absorb(shard);
+    const Status wrote = obs::write_metrics_file(snapshot, metrics_path);
+    if (!wrote.ok()) {
+      std::fprintf(stderr, "tbpointd: cannot write %s: %s\n",
+                   metrics_path.c_str(), wrote.to_string().c_str());
+      return 1;
     }
+    std::printf("tbpointd: wrote metrics %s\n", metrics_path.c_str());
   }
   return 0;
 }

@@ -47,8 +47,8 @@
 // self-profiling sidecar (wall-clock only — shard load skew under
 // --sim-jobs, stage latencies; render with `tbp-report prof`).  Attaching
 // it never changes results: the manifest bytes are identical with --prof
-// present, absent, or compiled out (TBP_PROF=OFF).  With --trace, the
-// timeline gains a "wall clock (tbp-prof)" track.
+// present or absent.  With --trace, the timeline gains a "wall clock
+// (tbp-prof)" track.
 //
 // --validate runs trace::validate_launch over every launch of the workload
 // before simulating and fails with the violation report if a trace breaks
@@ -190,7 +190,7 @@ struct CliObservation {
 };
 
 /// The --prof session for one subcommand; `session` is null without the
-/// flag, or when profiling is compiled out (after a stderr notice).
+/// flag.
 struct CliProf {
   std::string path;
   std::unique_ptr<prof::ProfSession> session;
@@ -199,13 +199,7 @@ struct CliProf {
     CliProf out;
     out.path = harness::flag_value(argc, argv, "--prof", "");
     if (!out.path.empty()) {
-      if constexpr (prof::kEnabled) {
-        out.session = std::make_unique<prof::ProfSession>();
-      } else {
-        std::fprintf(stderr,
-                     "--prof ignored: self-profiling compiled out "
-                     "(TBP_PROF=OFF)\n");
-      }
+      out.session = std::make_unique<prof::ProfSession>();
     }
     return out;
   }
@@ -336,29 +330,22 @@ bool write_cli_manifest(int argc, char** argv, const std::string& command,
                         const obs::Observation* session) {
   const std::string path = harness::flag_value(argc, argv, "--manifest", "");
   if (path.empty()) return true;
-  if constexpr (obs::kEnabled) {
-    obs::MetricsSnapshot metrics;
-    if (session != nullptr && session->metrics_on()) {
-      metrics = session->merged_metrics();
-    }
-    const Status st = harness::write_manifest(
-        harness::manifest_body("tbpoint_cli", command, std::move(config), rows,
-                               metrics),
-        path);
-    if (!st.ok()) {
-      std::fprintf(stderr, "cannot write %s: %s\n", path.c_str(),
-                   st.to_string().c_str());
-      return false;
-    }
-    std::printf("wrote manifest %s (render with: tbp-report show %s)\n",
-                path.c_str(), path.c_str());
-    return true;
-  } else {
-    std::fprintf(stderr,
-                 "--manifest ignored: observability compiled out "
-                 "(TBP_OBS=OFF)\n");
-    return true;
+  obs::MetricsSnapshot metrics;
+  if (session != nullptr && session->metrics_on()) {
+    metrics = session->merged_metrics();
   }
+  const Status st = harness::write_manifest(
+      harness::manifest_body("tbpoint_cli", command, std::move(config), rows,
+                             metrics),
+      path);
+  if (!st.ok()) {
+    std::fprintf(stderr, "cannot write %s: %s\n", path.c_str(),
+                 st.to_string().c_str());
+    return false;
+  }
+  std::printf("wrote manifest %s (render with: tbp-report show %s)\n",
+              path.c_str(), path.c_str());
+  return true;
 }
 
 int cmd_list() {
