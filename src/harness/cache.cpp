@@ -9,16 +9,15 @@
 #include <sstream>
 #include <utility>
 
-#include "store/migrate.hpp"
 #include "store/store.hpp"
 #include "support/artifact.hpp"
+#include "workloads/parametric.hpp"
 
 namespace tbp::harness {
 namespace {
 
 constexpr io::ArtifactFormat kRowFormat{
     .magic = "tbpoint-row-v3",
-    .legacy_magic = "tbpoint-row-v2",
     .family = "tbpoint-row-",
     .kind = "cache-row",
 };
@@ -53,8 +52,49 @@ constexpr io::ArtifactFormat kRowFormat{
   return io::seal_artifact(kRowFormat.magic, out.str());
 }
 
-/// Parses a sealed row artifact (current v3, or legacy v2 without
-/// checksum).  `context` names the source in error messages.
+/// The canary behind model_fingerprint(): four small launches on a 2-SM,
+/// 8-warp machine that between them reach every stage a row reports —
+/// two identical launches (inter-launch clustering), a regular launch long
+/// enough for homogeneous regions, an irregular one with random addresses
+/// and divergence, and an outlier-heavy one with SFU, shared-memory and
+/// barrier traffic.  Changing it changes every address, like a model
+/// change would.
+[[nodiscard]] std::string compute_model_fingerprint() {
+  workloads::LaunchSpec regular;
+  regular.n_blocks = 48;
+  regular.threads_per_block = 64;
+  workloads::LaunchSpec irregular = regular;
+  irregular.pattern = workloads::BlockPattern::kIrregular;
+  irregular.branch_divergence = 0.25;
+  irregular.lines_per_access = 4;
+  irregular.address = trace::AddressPattern::kRandom;
+  workloads::LaunchSpec outliers = regular;
+  outliers.pattern = workloads::BlockPattern::kOutlierHeavy;
+  outliers.outlier_fraction = 0.1;
+  outliers.sfu_per_iteration = 2;
+  outliers.shared_per_iteration = 2;
+  outliers.barrier_per_iteration = true;
+
+  workloads::WorkloadSpec spec;
+  spec.name = "model-canary";
+  spec.seed = 0x7b90147;
+  spec.launches = {regular, regular, irregular, outliers};
+
+  ComparisonOptions options;  // jobs = sim_jobs = 1, no observers
+  ExperimentRow row = run_comparison_uncounted(
+      workloads::build_workload(spec), sim::scaled_config(8, 2), options);
+  row.full_sim_seconds = 0.0;
+  row.tbp_seconds = 0.0;
+  return store::KeyHasher().field("model-canary").field(serialize_row(row)).hex();
+}
+
+/// `model`, or this binary's fingerprint when it is empty.
+[[nodiscard]] std::string_view model_or_current(std::string_view model) {
+  return model.empty() ? std::string_view(model_fingerprint()) : model;
+}
+
+/// Parses a sealed tbpoint-row-v3 artifact.  `context` names the source in
+/// error messages.
 [[nodiscard]] Result<ExperimentRow> parse_row_text(const std::string& text,
                                                    const std::string& context) {
   Result<std::string> body = io::unseal_artifact(text, kRowFormat);
@@ -87,7 +127,7 @@ constexpr io::ArtifactFormat kRowFormat{
 
 /// Per-directory store registry.  One ContentStore per cache directory per
 /// process: the store's own mutex serializes row I/O, and opening (index
-/// load + one-shot legacy import) happens once.
+/// load) happens once.
 struct StoreRegistry {
   std::mutex mutex;
   std::map<std::string, std::unique_ptr<store::ContentStore>> stores;
@@ -103,26 +143,6 @@ struct StoreRegistry {
   std::filesystem::path abs = std::filesystem::absolute(cache_dir, ec);
   if (ec) abs = cache_dir;
   return abs.lexically_normal().string();
-}
-
-/// Imports legacy flat `<stem>.txt` rows sitting next to the store.  Valid
-/// rows are re-encoded as current-format payloads (originals untouched);
-/// unparseable ones are deleted, matching the old quarantine behavior.
-void import_legacy_rows(store::ContentStore& store_ref,
-                        const std::filesystem::path& dir) {
-  store::LegacyImportSpec spec;
-  spec.suffix = ".txt";
-  spec.key_for_stem = [](std::string_view stem) {
-    return experiment_store_key(std::string(stem));
-  };
-  spec.recode = [](std::string_view stem,
-                   const std::string& text) -> Result<std::string> {
-    Result<ExperimentRow> row = parse_row_text(text, std::string(stem));
-    if (!row.has_value()) return row.status();
-    return serialize_row(*row);
-  };
-  // Import is best-effort: a failure leaves the store cold, not broken.
-  (void)store::import_legacy_flat_files(store_ref, dir, spec);
 }
 
 /// The opened store for `cache_dir`, creating the directory only when
@@ -142,7 +162,6 @@ void import_legacy_rows(store::ContentStore& store_ref,
       std::filesystem::path(cache_dir), options);
   Status opened = candidate->open();
   if (!opened.ok()) return opened;  // not cached: a later create may succeed
-  import_legacy_rows(*candidate, std::filesystem::path(cache_dir));
   const auto [it, inserted] =
       reg.stores.emplace(dir_key, std::move(candidate));
   return it->second.get();
@@ -190,22 +209,41 @@ std::string experiment_key(const std::string& workload_name,
   return key.str();
 }
 
-store::StoreKey experiment_store_key(const std::string& key) {
-  return store::make_key("row", kRowFormat.magic, key, key);
+const std::string& model_fingerprint() {
+  static const std::string fingerprint = compute_model_fingerprint();
+  return fingerprint;
+}
+
+store::StoreKey model_store_key(std::string_view kind,
+                                std::string_view codec_version,
+                                std::string_view canonical,
+                                std::string_view label,
+                                std::string_view model) {
+  return store::make_key(
+      kind, codec_version,
+      std::string(canonical) + "\nmodel " + std::string(model),
+      std::string(label) + ":" + std::string(model.substr(0, 8)));
+}
+
+store::StoreKey experiment_store_key(const std::string& key,
+                                     std::string_view model) {
+  return model_store_key("row", kRowFormat.magic, key, key, model);
 }
 
 std::filesystem::path cached_row_path(const std::string& cache_dir,
                                       const std::string& key) {
   const store::ContentStore probe(std::filesystem::path(cache_dir),
                                   store::StoreOptions{});
-  return probe.entry_path(experiment_store_key(key));
+  return probe.entry_path(experiment_store_key(key, model_fingerprint()));
 }
 
 Result<ExperimentRow> load_cached_row(const std::string& cache_dir,
-                                      const std::string& key) {
+                                      const std::string& key,
+                                      std::string_view model) {
   Result<store::ContentStore*> cache = store_for(cache_dir, /*create=*/false);
   if (!cache.has_value()) return cache.status();
-  const store::StoreKey store_key = experiment_store_key(key);
+  const store::StoreKey store_key =
+      experiment_store_key(key, model_or_current(model));
   Result<std::string> payload = (*cache)->get(store_key);
   if (!payload.has_value()) return payload.status();
   Result<ExperimentRow> row = parse_row_text(*payload, key);
@@ -218,10 +256,11 @@ Result<ExperimentRow> load_cached_row(const std::string& cache_dir,
 }
 
 Status save_cached_row(const std::string& cache_dir, const std::string& key,
-                       const ExperimentRow& row) {
+                       const ExperimentRow& row, std::string_view model) {
   Result<store::ContentStore*> cache = store_for(cache_dir, /*create=*/true);
   if (!cache.has_value()) return cache.status();
-  return (*cache)->put(experiment_store_key(key), serialize_row(row));
+  return (*cache)->put(experiment_store_key(key, model_or_current(model)),
+                       serialize_row(row));
 }
 
 namespace {

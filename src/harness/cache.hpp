@@ -9,20 +9,25 @@
 // binaries ask for it.  Delete the cache directory (default
 // ./tbpoint_cache) or pass --no-cache to force recomputation.
 //
+// A row is only as good as the model that computed it, so every store
+// address also mixes in model_fingerprint(): a hash of a tiny fixed canary
+// comparison run by this binary.  Any change to the simulator, the
+// workload generators or a sampler that moves the canary's row moves every
+// address, and rows computed by an older model become unreachable misses
+// instead of stale hits.  No epoch needs bumping by hand.
+//
 // Layout: each cache directory holds one ContentStore (sharded objects/
 // tree + index journal).  Rows are sealed tbpoint-row-v3 artifacts stored
-// as entry payloads, addressed by a hash of the experiment key.  Legacy
-// flat `<key>.txt` rows (the pre-store layout, including the committed
-// tbpoint_cache/ files) are imported on the directory's first open — valid
-// rows are re-keyed into the store (originals left in place), unparseable
-// ones are quarantined — so warm caches survive the upgrade.  Corrupt
-// store entries are likewise quarantined on read, making the next lookup a
-// clean miss instead of a persistent failure.
+// as entry payloads; each entry's label is the experiment key plus the
+// first 8 hex chars of the model fingerprint (provenance in index
+// listings).  Corrupt store entries are quarantined on read, making the
+// next lookup a clean miss instead of a persistent failure.
 #pragma once
 
 #include <cstddef>
 #include <filesystem>
 #include <string>
+#include <string_view>
 
 #include "harness/experiment.hpp"
 #include "obs/metrics.hpp"
@@ -33,37 +38,58 @@
 
 namespace tbp::harness {
 
-/// Stable fingerprint of everything that affects an ExperimentRow
-/// ("<workload>_d<divisor>_s<hexseed>_c<option-hash>") — also the legacy
-/// flat-file stem, which is what lets the importer re-key old rows.
+/// Stable fingerprint of every input that affects an ExperimentRow
+/// ("<workload>_d<divisor>_s<hexseed>_c<option-hash>").
 [[nodiscard]] std::string experiment_key(const std::string& workload_name,
                                          const workloads::WorkloadScale& scale,
                                          const sim::GpuConfig& config,
                                          const ComparisonOptions& options);
 
-/// Store address for an experiment key: the row codec version is mixed in,
-/// so a future row-format bump starts a fresh namespace instead of
-/// misparsing old payloads.
-[[nodiscard]] store::StoreKey experiment_store_key(const std::string& key);
+/// Fingerprint of the model this binary implements: 32 lowercase hex chars
+/// hashing the canary comparison's row as the cache serializes it, with
+/// the wall-clock fields zeroed.  Computed once per process, on first call
+/// (about 50 ms), which only the result stores make; the canary does not
+/// count in run_comparison_invocations().  The same for every call,
+/// thread and --jobs value.
+[[nodiscard]] const std::string& model_fingerprint();
 
-/// Where `key`'s row lives inside `cache_dir`'s store (for tests and
-/// tooling that corrupt or inspect entries on disk).
+/// store::make_key for a result computed by `model` (a model_fingerprint()
+/// value): the model is hashed with `canonical`, and its first 8 hex chars
+/// end the label as provenance.  Both result stores (rows here, tbpointd
+/// responses) address entries through it.
+[[nodiscard]] store::StoreKey model_store_key(std::string_view kind,
+                                              std::string_view codec_version,
+                                              std::string_view canonical,
+                                              std::string_view label,
+                                              std::string_view model);
+
+/// Store address for an experiment key computed by `model`: the row codec
+/// version and the model are mixed in, so a row-format bump or a model
+/// change starts a fresh namespace instead of serving old rows.
+[[nodiscard]] store::StoreKey experiment_store_key(const std::string& key,
+                                                   std::string_view model);
+
+/// Where `key`'s row lives inside `cache_dir`'s store under this binary's
+/// model (for tests and tooling that corrupt or inspect entries on disk).
 [[nodiscard]] std::filesystem::path cached_row_path(const std::string& cache_dir,
                                                     const std::string& key);
 
 /// kNotFound on a plain miss (including a cache directory that does not
-/// exist yet — lookups never create it); kCorrupt/kVersionMismatch/
-/// kTooLarge when the entry failed validation (the bad entry is quarantined
-/// so the next run starts from a clean miss).
+/// exist yet — lookups never create it — and a row saved under another
+/// model); kCorrupt/kVersionMismatch/kTooLarge when the entry failed
+/// validation (the bad entry is quarantined so the next run starts from a
+/// clean miss).  An empty `model` means model_fingerprint().
 [[nodiscard]] Result<ExperimentRow> load_cached_row(const std::string& cache_dir,
-                                                    const std::string& key);
+                                                    const std::string& key,
+                                                    std::string_view model = {});
 
 /// Atomic write; caching stays best-effort, so callers may discard the
 /// returned Status with an explicit (void) cast, but it says why a row
-/// could not be persisted.
+/// could not be persisted.  An empty `model` means model_fingerprint().
 [[nodiscard]] Status save_cached_row(const std::string& cache_dir,
                                      const std::string& key,
-                                     const ExperimentRow& row);
+                                     const ExperimentRow& row,
+                                     std::string_view model = {});
 
 /// Cached wrapper around run_comparison: builds the workload and runs the
 /// comparison only on a cache miss.  `cache_dir` empty disables caching.

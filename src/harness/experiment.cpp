@@ -10,6 +10,7 @@
 #include "stats/error.hpp"
 #include "support/parallel.hpp"
 #include "support/walltime.hpp"
+#include "trace/occupancy.hpp"
 
 namespace tbp::harness {
 namespace {
@@ -22,11 +23,28 @@ std::size_t run_comparison_invocations() noexcept {
   return g_comparison_invocations.load(std::memory_order_relaxed);
 }
 
+Status check_fits(const workloads::Workload& workload,
+                  const sim::GpuConfig& config) {
+  for (const trace::LaunchTraceSource* launch : workload.sources()) {
+    if (trace::sm_occupancy(launch->kernel(), config.sm_resources) == 0) {
+      return Status(StatusCode::kInvalidArgument,
+                    "kernel " + launch->kernel().name +
+                        " exceeds per-SM resources");
+    }
+  }
+  return Status();
+}
+
 ExperimentRow run_comparison(const workloads::Workload& workload,
                              const sim::GpuConfig& config,
                              const ComparisonOptions& options) {
   g_comparison_invocations.fetch_add(1, std::memory_order_relaxed);
+  return run_comparison_uncounted(workload, config, options);
+}
 
+ExperimentRow run_comparison_uncounted(const workloads::Workload& workload,
+                                       const sim::GpuConfig& config,
+                                       const ComparisonOptions& options) {
   ExperimentRow row;
   row.workload = workload.name;
   row.irregular = workload.irregular();

@@ -14,6 +14,7 @@
 #include "core/tbpoint.hpp"
 #include "obs/export.hpp"
 #include "sim/config.hpp"
+#include "support/status.hpp"
 #include "workloads/workload.hpp"
 
 namespace tbp::prof {
@@ -119,12 +120,27 @@ struct ExperimentRow {
   core::ErrorAttribution attribution;
 };
 
+/// kInvalidArgument naming the first kernel of `workload` whose thread
+/// block does not fit one SM of `config` (occupancy 0) — the simulator
+/// cannot run such a launch, so callers reject the pair before
+/// run_comparison instead of letting the simulation abort.
+[[nodiscard]] Status check_fits(const workloads::Workload& workload,
+                                const sim::GpuConfig& config);
+
 /// Runs the full four-way comparison.  Deterministic for fixed inputs:
 /// every field except the wall-clock `*_seconds` measurements is
-/// bit-identical across runs and across `options.jobs` values.
+/// bit-identical across runs and across `options.jobs` values.  Requires
+/// check_fits(workload, config) to pass.
 [[nodiscard]] ExperimentRow run_comparison(const workloads::Workload& workload,
                                            const sim::GpuConfig& config,
                                            const ComparisonOptions& options = {});
+
+/// run_comparison without the run_comparison_invocations() tick, for the
+/// model-fingerprint canary (harness/cache.hpp): it runs lazily inside
+/// whatever interval a caller happens to be counting.
+[[nodiscard]] ExperimentRow run_comparison_uncounted(
+    const workloads::Workload& workload, const sim::GpuConfig& config,
+    const ComparisonOptions& options = {});
 
 /// Number of run_comparison calls that started in this process.  Test
 /// instrumentation: lets the once-per-key cache guard prove that N

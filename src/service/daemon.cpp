@@ -7,6 +7,7 @@
 #include <utility>
 #include <vector>
 
+#include "harness/cache.hpp"
 #include "prof/prof.hpp"
 #include "support/parallel.hpp"
 #include "support/walltime.hpp"
@@ -18,7 +19,7 @@ namespace {
 struct Admitted {
   std::string id;
   RequestSpec spec;
-  std::string fingerprint;  ///< store key id = canonical-line hash
+  std::string fingerprint;  ///< spec_fingerprint (canonical-line hash)
 };
 
 /// All admitted requests sharing one fingerprint.
@@ -90,16 +91,24 @@ Result<std::size_t> Daemon::drain_once() {
     }
     stats_.claimed += 1;
     Result<RequestSpec> spec = parse_request(*line);
-    if (!spec.has_value()) {
+    // A well-formed spec whose kernels do not fit one SM cannot simulate;
+    // it is rejected here like a malformed line, never handed to a worker.
+    const Status admissible =
+        spec.has_value()
+            ? harness::check_fits(
+                  workloads::make_workload(spec->workload, spec->scale),
+                  spec_gpu_config(*spec))
+            : spec.status();
+    if (!admissible.ok()) {
       stats_.malformed += 1;
-      Status answered = respond(id, error_response(spec.status()));
+      Status answered = respond(id, error_response(admissible));
       if (!answered.ok()) return answered;
       continue;
     }
     Admitted item;
     item.id = id;
     item.spec = *std::move(spec);
-    item.fingerprint = spec_store_key(item.spec).id;
+    item.fingerprint = spec_fingerprint(item.spec);
     admitted.push_back(std::move(item));
   }
   claim_span.finish();
@@ -112,7 +121,7 @@ Result<std::size_t> Daemon::drain_once() {
     Group& group = groups[item.fingerprint];
     if (group.ids.empty()) {
       group.spec = item.spec;
-      group.key = spec_store_key(item.spec);
+      group.key = spec_store_key(item.spec, harness::model_fingerprint());
     } else {
       stats_.deduped += 1;
     }

@@ -5,12 +5,14 @@
 //
 //   1. Claim every pending request (sorted id order; rename races lost to
 //      another daemon are skipped).
-//   2. Parse each line.  Malformed requests get a sealed error response
-//      immediately — admission never lets bad input reach the batch.
+//   2. Parse each line.  Malformed requests, and well-formed ones whose
+//      thread blocks do not fit one SM of the requested GPU, get a sealed
+//      error response immediately — admission never lets input that
+//      cannot simulate reach the batch.
 //   3. Group the valid requests by their canonical fingerprint.  Duplicate
-//      in-flight requests collapse into one group (the dedup the flat
-//      cache could never give the CLI tools across processes).
-//   4. Probe the store per group.  Groups whose response manifest is
+//      in-flight requests collapse into one group.
+//   4. Probe the store per group, at an address that also names the model
+//      (harness::model_fingerprint()).  Groups whose response manifest is
 //      already stored are served without simulating; missing groups are
 //      simulated via support/parallel (across groups, or inside the single
 //      group when the batch has only one) and their manifests stored.

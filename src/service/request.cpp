@@ -4,6 +4,7 @@
 #include <cmath>
 #include <utility>
 
+#include "harness/cache.hpp"
 #include "harness/manifest.hpp"
 
 namespace tbp::service {
@@ -120,13 +121,18 @@ std::string spec_canonical_line(const RequestSpec& spec) {
   return obs::json_serialize(spec_to_value(spec));
 }
 
-store::StoreKey spec_store_key(const RequestSpec& spec) {
+std::string spec_fingerprint(const RequestSpec& spec) {
+  return store::KeyHasher().field(spec_canonical_line(spec)).hex();
+}
+
+store::StoreKey spec_store_key(const RequestSpec& spec,
+                               std::string_view model) {
   const std::string label =
       spec.workload + "-d" + std::to_string(spec.scale.divisor) + "-sms" +
       std::to_string(spec.sms) + "-w" + std::to_string(spec.warps) +
       (spec.gto ? "-gto" : "");
-  return store::make_key("response", obs::kManifestSchema,
-                         spec_canonical_line(spec), label);
+  return harness::model_store_key("response", obs::kManifestSchema,
+                                  spec_canonical_line(spec), label, model);
 }
 
 sim::GpuConfig spec_gpu_config(const RequestSpec& spec) {

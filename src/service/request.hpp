@@ -16,8 +16,9 @@
 //
 // The *canonical line* of a spec is the sorted-key no-whitespace
 // serialization with every field explicit.  Two requests that mean the same
-// run always canonicalize to the same bytes — that line is the dedup
-// fingerprint and (hashed) the response's store address.
+// run always canonicalize to the same bytes — that line, hashed, is the
+// dedup fingerprint, and hashed together with the model fingerprint
+// (harness::model_fingerprint()) the response's store address.
 //
 // The response wire format is the sealed tbp-manifest-v1 document, byte-
 // identical to what `tbpoint_cli compare ... --manifest` writes for the
@@ -57,10 +58,17 @@ struct RequestSpec {
 /// Canonical fingerprint line: json_serialize(spec_to_value(spec)).
 [[nodiscard]] std::string spec_canonical_line(const RequestSpec& spec);
 
-/// Store address of the spec's response manifest.  The manifest schema tag
-/// is the codec version, so a future manifest format bump re-computes
-/// instead of serving stale-format bytes.
-[[nodiscard]] store::StoreKey spec_store_key(const RequestSpec& spec);
+/// Dedup fingerprint: 32 hex chars hashing the canonical line.  Cheap and
+/// model-free (tbp-client derives default request ids from it).
+[[nodiscard]] std::string spec_fingerprint(const RequestSpec& spec);
+
+/// Store address of the spec's response manifest as computed by `model`
+/// (a harness::model_fingerprint() value).  The manifest schema tag is the
+/// codec version, so a manifest format bump or a model change re-computes
+/// instead of serving stale bytes.  The label names the spec and ends in
+/// the model's first 8 hex chars.
+[[nodiscard]] store::StoreKey spec_store_key(const RequestSpec& spec,
+                                             std::string_view model);
 
 /// The GPU configuration the spec names — same rule as tbpoint_cli: the
 /// default 14x48 geometry is the calibrated Fermi model, anything else is

@@ -4,10 +4,12 @@
 // 128-bit hash (32 lowercase hex chars) over everything that determines the
 // entry's bytes — the entry kind, the codec version of the payload, and a
 // canonical dump of the inputs — so any input or format change addresses a
-// different entry instead of silently aliasing a stale one.  `label` is a
-// short human-readable tag (the legacy cache stem, a request summary)
-// carried alongside the hash for index listings and diagnostics; it never
-// participates in addressing.
+// different entry instead of silently aliasing a stale one.  Result stores
+// derive keys through harness::model_store_key, which also mixes in the
+// fingerprint of the model that computed the payload.  `label` is a short
+// human-readable tag (an experiment key or request summary, ending in the
+// model's first 8 hex chars) carried alongside the hash for index listings
+// and diagnostics; it never participates in addressing.
 //
 // Key derivation is part of the on-disk contract: the same (kind, version,
 // canonical) triple must hash to the same id forever, or every deployed

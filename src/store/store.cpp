@@ -16,14 +16,12 @@ namespace {
 
 constexpr io::ArtifactFormat kEntryFormat{
     .magic = "tbp-store-entry-v1",
-    .legacy_magic = "",
     .family = "tbp-store-entry-",
     .kind = "store-entry",
 };
 
 constexpr io::ArtifactFormat kIndexFormat{
     .magic = "tbp-store-index-v1",
-    .legacy_magic = "",
     .family = "tbp-store-index-",
     .kind = "store-index",
 };

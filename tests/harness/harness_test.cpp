@@ -13,6 +13,9 @@
 #include "harness/experiment.hpp"
 #include "harness/table.hpp"
 #include "sim/config.hpp"
+#include "store/key.hpp"
+#include "store/store.hpp"
+#include "support/artifact.hpp"
 #include "support/parallel.hpp"
 #include "workloads/workload.hpp"
 
@@ -132,23 +135,54 @@ TEST(CacheTest, MissingRowIsNotFound) {
   EXPECT_EQ(loaded.status().code(), StatusCode::kNotFound);
 }
 
-TEST(CacheTest, LegacyV2RowWithoutChecksumStillLoads) {
-  // Rows written before the checksum trailer (the committed tbpoint_cache
-  // entries) must keep loading.
-  const std::string dir = ::testing::TempDir() + "/tbp_cache_legacy";
+TEST(CacheTest, ChangedModelFingerprintMisses) {
+  // A row is addressed by (experiment key, model): the same key looked up
+  // under another model fingerprint is a plain miss, never the old row.
+  const std::string dir = ::testing::TempDir() + "/tbp_cache_model";
   std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
+  const std::string model_a(32, 'a');
+  const std::string model_b(32, 'b');
+  ExperimentRow row;
+  row.workload = "stream";
+  row.full_ipc = 1.5;
+  ASSERT_TRUE(save_cached_row(dir, "model_key", row, model_a).ok());
+
+  const auto other = load_cached_row(dir, "model_key", model_b);
+  ASSERT_FALSE(other.has_value());
+  EXPECT_EQ(other.status().code(), StatusCode::kNotFound);
+  const auto same = load_cached_row(dir, "model_key", model_a);
+  ASSERT_TRUE(same.has_value());
+  EXPECT_DOUBLE_EQ(same->full_ipc, 1.5);
+  EXPECT_NE(experiment_store_key("model_key", model_a).id,
+            experiment_store_key("model_key", model_b).id);
+  EXPECT_EQ(experiment_store_key("model_key", model_a).label,
+            "model_key:aaaaaaaa");
+}
+
+TEST(CacheTest, RowFromAnotherModelIsNotServed) {
+  // A valid row stored at a model-free address (how a cache written by an
+  // older model addresses it) is never served to this binary.
+  const std::string dir = ::testing::TempDir() + "/tbp_cache_stale_model";
+  std::filesystem::remove_all(dir);
   {
-    std::ofstream out(dir + "/legacy.txt");
-    out << "tbpoint-row-v2\n"
-           "bfs 1 14 10619 123456789 2.25 2.1 6.7 10 2.2 2.2 5.5 "
-           "2.15 3.3 8 2.24 0.4 2.6 0.25 7 3 50000 12.5 1.5\n";
+    store::StoreOptions options;
+    options.create = true;
+    store::ContentStore stale(dir, options);
+    ASSERT_TRUE(stale.open().ok());
+    const std::string payload = io::seal_artifact(
+        "tbpoint-row-v3",
+        "stream 0 240 240 1000 2.5 2.4 4 10 2.5 0 5 2.4 4 10 2.49 0.4 "
+        "2.6 1 3 1 4000 1 1\n");
+    ASSERT_TRUE(stale
+                    .put(store::make_key("row", "tbpoint-row-v3", "stale_key",
+                                         "stale_key"),
+                         payload)
+                    .ok());
+    ASSERT_TRUE(stale.flush_index().ok());
   }
-  const auto loaded = load_cached_row(dir, "legacy");
-  ASSERT_TRUE(loaded.has_value());
-  EXPECT_EQ(loaded->workload, "bfs");
-  EXPECT_EQ(loaded->n_launches, 14u);
-  EXPECT_DOUBLE_EQ(loaded->full_ipc, 2.25);
+  const auto loaded = load_cached_row(dir, "stale_key");
+  ASSERT_FALSE(loaded.has_value());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kNotFound);
 }
 
 TEST(CacheTest, CorruptRowIsQuarantined) {
@@ -176,24 +210,6 @@ TEST(CacheTest, CorruptRowIsQuarantined) {
   const auto second = load_cached_row(dir, "bad_key");
   ASSERT_FALSE(second.has_value());
   EXPECT_EQ(second.status().code(), StatusCode::kNotFound);
-}
-
-TEST(CacheTest, CorruptLegacyFlatRowIsQuarantinedAtMigration) {
-  // Pre-store layout: an unparseable flat row is quarantined (deleted) when
-  // the directory's store first opens, so the lookup is a clean miss, never
-  // a persistent failure.
-  const std::string dir = ::testing::TempDir() + "/tbp_cache_legacy_bad";
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
-  const std::string path = dir + "/bad_key.txt";
-  {
-    std::ofstream out(path);
-    out << "tbpoint-row-v3\nnot a row at all\n";
-  }
-  const auto loaded = load_cached_row(dir, "bad_key");
-  ASSERT_FALSE(loaded.has_value());
-  EXPECT_EQ(loaded.status().code(), StatusCode::kNotFound);
-  EXPECT_FALSE(std::filesystem::exists(path));
 }
 
 TEST(CacheTest, TornWriteRecoversByRecomputation) {

@@ -192,5 +192,42 @@ TEST(OncePerKeyTest, ConcurrentRequestsCostOneComputation) {
   EXPECT_EQ(cache_in_flight_for_test(), 0u);
 }
 
+TEST(ModelFingerprintTest, SameAcrossCallsThreadsAndJobs) {
+  // The fingerprint is computed once per process, whichever thread asks
+  // first; every caller sees the same 32 hex chars, and the canary does
+  // not show up in run_comparison_invocations().
+  const std::size_t before = run_comparison_invocations();
+  constexpr std::size_t kThreads = 4;
+  std::vector<std::string> seen(kThreads);
+  {
+    std::vector<std::thread> threads;
+    threads.reserve(kThreads);
+    for (std::size_t t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t]() { seen[t] = model_fingerprint(); });
+    }
+    for (std::thread& thread : threads) thread.join();
+  }
+  EXPECT_EQ(run_comparison_invocations(), before);
+  ASSERT_EQ(seen[0].size(), 32u);
+  for (const std::string& fingerprint : seen) EXPECT_EQ(fingerprint, seen[0]);
+  EXPECT_EQ(model_fingerprint(), seen[0]);
+
+  // --jobs is not part of the address: a row saved by a jobs=4 comparison
+  // is the entry a jobs=1 lookup of the same experiment finds.
+  const std::string dir = ::testing::TempDir() + "/tbp_fingerprint_jobs";
+  std::filesystem::remove_all(dir);
+  par::set_global_jobs(4);
+  workloads::WorkloadScale scale;
+  scale.divisor = 32;
+  const ExperimentRow computed = cached_comparison(
+      "stream", scale, small_config(), small_options(4), dir);
+  EXPECT_FALSE(computed.from_cache);
+  const ExperimentRow reloaded = cached_comparison(
+      "stream", scale, small_config(), small_options(1), dir);
+  EXPECT_TRUE(reloaded.from_cache);
+  expect_rows_bit_identical(computed, reloaded);
+  EXPECT_EQ(run_comparison_invocations(), before + 1);
+}
+
 }  // namespace
 }  // namespace tbp::harness

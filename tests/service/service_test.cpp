@@ -115,16 +115,31 @@ TEST(RequestTest, StrictnessRejectsEveryMalformedShape) {
 }
 
 TEST(RequestTest, StoreKeyTracksTheSpec) {
+  const std::string model(32, 'a');
   const RequestSpec base = small_spec();
   RequestSpec other = base;
   other.scale.divisor = 96;
-  EXPECT_NE(spec_store_key(base).id, spec_store_key(other).id);
-  EXPECT_EQ(spec_store_key(base).id, spec_store_key(small_spec()).id);
-  EXPECT_EQ(spec_store_key(base).label, "stream-d48-sms4-w48");
+  EXPECT_NE(spec_store_key(base, model).id, spec_store_key(other, model).id);
+  EXPECT_EQ(spec_store_key(base, model).id,
+            spec_store_key(small_spec(), model).id);
+  EXPECT_EQ(spec_store_key(base, model).label, "stream-d48-sms4-w48:aaaaaaaa");
   RequestSpec gto = base;
   gto.gto = true;
-  EXPECT_EQ(spec_store_key(gto).label, "stream-d48-sms4-w48-gto");
-  EXPECT_NE(spec_store_key(gto).id, spec_store_key(base).id);
+  EXPECT_EQ(spec_store_key(gto, model).label,
+            "stream-d48-sms4-w48-gto:aaaaaaaa");
+  EXPECT_NE(spec_store_key(gto, model).id, spec_store_key(base, model).id);
+  EXPECT_NE(spec_fingerprint(gto), spec_fingerprint(base));
+  EXPECT_EQ(spec_fingerprint(base), spec_fingerprint(small_spec()));
+}
+
+TEST(RequestTest, StoreKeyTracksTheModel) {
+  // The same spec computed by another model is another entry; the dedup
+  // fingerprint does not depend on the model.
+  const RequestSpec spec = small_spec();
+  const std::string a(32, 'a');
+  const std::string b(32, 'b');
+  EXPECT_NE(spec_store_key(spec, a).id, spec_store_key(spec, b).id);
+  EXPECT_EQ(spec_fingerprint(spec).size(), 32u);
 }
 
 // ---- spool protocol ----
@@ -298,6 +313,74 @@ TEST(ServiceTest, MalformedRequestsGetErrorResponsesAndServiceContinues) {
   ASSERT_TRUE(bad_schema.has_value());
   EXPECT_EQ(response_error(*bad_schema).code(), StatusCode::kVersionMismatch);
   EXPECT_TRUE(fs::is_empty(spool / "claimed"));
+}
+
+TEST(ServiceTest, OversizeRequestIsRejectedAtAdmission) {
+  // A well-formed spec whose thread blocks do not fit one SM (bfs's blocks
+  // need more than 8 warp contexts) cannot simulate.  It is answered with
+  // an error document and counted as malformed; the valid request in the
+  // same batch is still simulated and answered, and nothing stays claimed.
+  const fs::path spool = fresh_dir("tbp_service_oversize");
+  DaemonOptions options;
+  options.spool_dir = spool;
+  Daemon daemon(options);
+  ASSERT_TRUE(daemon.open().ok());
+
+  RequestSpec oversize;
+  oversize.workload = "bfs";
+  oversize.scale.divisor = 1024;
+  oversize.sms = 2;
+  oversize.warps = 8;
+  ASSERT_TRUE(parse_request(spec_canonical_line(oversize)).has_value());
+  ASSERT_TRUE(
+      submit_request(spool, "oversize", spec_canonical_line(oversize)).ok());
+  ASSERT_TRUE(
+      submit_request(spool, "valid", spec_canonical_line(small_spec())).ok());
+
+  const std::size_t invocations_before = harness::run_comparison_invocations();
+  const auto answered = daemon.drain_once();
+  ASSERT_TRUE(answered.has_value());
+  EXPECT_EQ(*answered, 2u);
+  EXPECT_EQ(daemon.stats().malformed, 1u);
+  EXPECT_EQ(daemon.stats().simulations, 1u);
+  EXPECT_EQ(harness::run_comparison_invocations() - invocations_before, 1u);
+
+  const auto rejected = try_read_response(spool, "oversize");
+  ASSERT_TRUE(rejected.has_value());
+  const Status error = response_error(*rejected);
+  EXPECT_EQ(error.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(error.message().find("exceeds per-SM resources"),
+            std::string::npos);
+  const auto valid = try_read_response(spool, "valid");
+  ASSERT_TRUE(valid.has_value());
+  EXPECT_TRUE(response_error(*valid).ok());
+  EXPECT_TRUE(fs::is_empty(spool / "claimed"));
+}
+
+TEST(ServiceTest, ResponseFromAnotherModelIsNotServed) {
+  // A response stored at a model-free address (how a store written by an
+  // older model would address it) is never served: the daemon recomputes.
+  const fs::path spool = fresh_dir("tbp_service_stale_model");
+  DaemonOptions options;
+  options.spool_dir = spool;
+  Daemon daemon(options);
+  ASSERT_TRUE(daemon.open().ok());
+  const RequestSpec spec = small_spec();
+  const std::string line = spec_canonical_line(spec);
+  ASSERT_TRUE(daemon.response_store()
+                  .put(store::make_key("response", obs::kManifestSchema, line,
+                                       "stale"),
+                       "stale bytes\n")
+                  .ok());
+
+  ASSERT_TRUE(submit_request(spool, "fresh", line).ok());
+  const auto answered = daemon.drain_once();
+  ASSERT_TRUE(answered.has_value());
+  EXPECT_EQ(*answered, 1u);
+  EXPECT_EQ(daemon.stats().simulations, 1u);
+  const auto response = try_read_response(spool, "fresh");
+  ASSERT_TRUE(response.has_value());
+  EXPECT_EQ(*response, spec_manifest_bytes(spec, run_spec(spec, 1, 1)));
 }
 
 TEST(ServiceTest, ServeHonorsMaxRequests) {

@@ -13,7 +13,6 @@
 
 #include "harness/faults.hpp"
 #include "store/key.hpp"
-#include "store/migrate.hpp"
 
 namespace tbp::store {
 namespace {
@@ -420,72 +419,6 @@ TEST(StoreTest, RebuildQuarantinesTornEntriesAndDeletesTemps) {
   const auto loaded = store.get(good);
   ASSERT_TRUE(loaded.has_value());
   EXPECT_EQ(*loaded, "good payload");
-}
-
-// ---- legacy migration ----
-
-TEST(StoreMigrateTest, ImportsValidQuarantinesBadSkipsExisting) {
-  const std::string dir = fresh_dir("tbp_store_migrate");
-  fs::create_directories(dir);
-  write_file(fs::path(dir) / "alpha.txt", "alpha payload");
-  write_file(fs::path(dir) / "beta.txt", "BAD");
-  write_file(fs::path(dir) / "gamma.txt", "gamma payload");
-  write_file(fs::path(dir) / "ignored.json", "wrong suffix");
-
-  ContentStore store(dir, StoreOptions{});
-  ASSERT_TRUE(store.open().ok());
-  LegacyImportSpec spec;
-  spec.key_for_stem = [](std::string_view stem) {
-    return make_key("legacy", "v1", stem, stem);
-  };
-  spec.recode = [](std::string_view,
-                   const std::string& text) -> Result<std::string> {
-    if (text == "BAD") return Status(StatusCode::kCorrupt, "bad row");
-    return text;
-  };
-  // Pre-seed gamma so the importer sees an existing key.
-  ASSERT_TRUE(store.put(make_key("legacy", "v1", "gamma", "gamma"),
-                        "already migrated")
-                  .ok());
-
-  const auto report = import_legacy_flat_files(store, dir, spec);
-  ASSERT_TRUE(report.has_value());
-  EXPECT_EQ(report->imported, 1u);          // alpha
-  EXPECT_EQ(report->skipped_existing, 1u);  // gamma
-  EXPECT_EQ(report->quarantined, 1u);       // beta
-
-  const auto alpha = store.get(make_key("legacy", "v1", "alpha", "alpha"));
-  ASSERT_TRUE(alpha.has_value());
-  EXPECT_EQ(*alpha, "alpha payload");
-  // Valid originals stay (other checkouts may read them); corrupt ones go.
-  EXPECT_TRUE(fs::exists(fs::path(dir) / "alpha.txt"));
-  EXPECT_FALSE(fs::exists(fs::path(dir) / "beta.txt"));
-  EXPECT_TRUE(fs::exists(fs::path(dir) / "ignored.json"));
-
-  // Idempotent: a second import skips everything still on disk.
-  const auto again = import_legacy_flat_files(store, dir, spec);
-  ASSERT_TRUE(again.has_value());
-  EXPECT_EQ(again->imported, 0u);
-  EXPECT_EQ(again->skipped_existing, 2u);  // alpha + gamma (beta is gone)
-}
-
-TEST(StoreMigrateTest, MissingLegacyDirIsEmptySuccess) {
-  const std::string store_dir = fresh_dir("tbp_store_migrate_none");
-  ContentStore store(store_dir, StoreOptions{});
-  ASSERT_TRUE(store.open().ok());
-  LegacyImportSpec spec;
-  spec.key_for_stem = [](std::string_view stem) {
-    return make_key("legacy", "v1", stem, stem);
-  };
-  spec.recode = [](std::string_view,
-                   const std::string& text) -> Result<std::string> {
-    return text;
-  };
-  const auto report = import_legacy_flat_files(
-      store, fs::path(store_dir) / "does_not_exist", spec);
-  ASSERT_TRUE(report.has_value());
-  EXPECT_EQ(report->imported, 0u);
-  EXPECT_EQ(report->quarantined, 0u);
 }
 
 }  // namespace

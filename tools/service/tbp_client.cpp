@@ -150,7 +150,7 @@ int cmd_submit(int argc, char** argv) {
   }
 
   std::string id = harness::flag_value(argc, argv, "--id", "");
-  if (id.empty()) id = default_request_id(service::spec_store_key(spec).id);
+  if (id.empty()) id = default_request_id(service::spec_fingerprint(spec));
   if (!service::valid_request_id(id)) {
     std::fprintf(stderr, "tbp-client: invalid request id '%s'\n", id.c_str());
     return 2;

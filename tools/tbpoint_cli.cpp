@@ -501,6 +501,10 @@ int cmd_compare(int argc, char** argv) {
       workloads::make_workload(spec.workload, spec.scale);
   if (!validate_if_requested(argc, argv, workload)) return 1;
   const sim::GpuConfig config = service::spec_gpu_config(spec);
+  if (const Status fits = harness::check_fits(workload, config); !fits.ok()) {
+    std::fprintf(stderr, "tbpoint_cli: %s\n", fits.to_string().c_str());
+    return 2;
+  }
   const CliObservation observation = CliObservation::from_flags(argc, argv);
   options.observe = observation.get();
   const CliProf cli_prof = CliProf::from_flags(argc, argv);
